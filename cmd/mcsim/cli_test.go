@@ -138,6 +138,46 @@ func TestVerifyRunManifest(t *testing.T) {
 	}
 }
 
+// TestReplayEngineProcsManifest pins backward compatibility for archived
+// run manifests: testdata/engine-procs was written when clients could run
+// on a goroutine engine, so its config still carries "Engine": "procs".
+// `mcsim run -config` must still accept it and regenerate report.md and
+// trace.csv byte for byte.
+func TestReplayEngineProcsManifest(t *testing.T) {
+	archive := filepath.Join("testdata", "engine-procs")
+	raw, err := os.ReadFile(filepath.Join(archive, "manifest.json"))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(raw), `"Engine": "procs"`) {
+		t.Fatal("fixture lost its legacy engine field; the test would prove nothing")
+	}
+	man, _, err := readManifest(archive)
+	if err != nil {
+		t.Fatal(err)
+	}
+	out := t.TempDir()
+	if err := replayManifest(man, out); err != nil {
+		t.Fatalf("replay of legacy manifest failed: %v", err)
+	}
+	for _, name := range []string{"report.md", "trace.csv"} {
+		want, err := os.ReadFile(filepath.Join(archive, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err := os.ReadFile(filepath.Join(out, name))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if string(got) != string(want) {
+			t.Errorf("%s does not reproduce byte for byte", name)
+		}
+	}
+	if err := verifyManifest(archive, man); err != nil {
+		t.Fatalf("report -verify on legacy archive: %v", err)
+	}
+}
+
 // TestReplayExpManifest is the acceptance path: an archived experiment
 // report replays from its manifest alone and reproduces the recorded table
 // hashes; a doctored hash is rejected.
