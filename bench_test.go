@@ -405,7 +405,8 @@ func BenchmarkAblationBaselinePolicies(b *testing.B) {
 
 // BenchmarkFleet — the fleet engine behind Experiment #8: one hundred
 // clients sharded across 1/2/4/8 cells, plus the relay cache on the widest
-// fleet. Cells execute on the worker pool, so Mevents/s should climb with
+// fleet, and a thousand clients over four cells for the per-event cost at
+// scale. Cells execute on the worker pool, so Mevents/s should climb with
 // the cell count until cores saturate, while hit% and resp_s stay
 // byte-identical at any -parallel (TestFleetParallelInvariance).
 func BenchmarkFleet(b *testing.B) {
@@ -420,8 +421,9 @@ func BenchmarkFleet(b *testing.B) {
 		b.ReportMetric(100*res.HitRatio, "hit%")
 		b.ReportMetric(res.MeanResponse, "resp_s")
 		b.ReportMetric(float64(res.BackboneBytes)/1e6, "backbone_MB")
-		if s := b.Elapsed().Seconds(); s > 0 {
+		if s := b.Elapsed().Seconds(); s > 0 && events > 0 {
 			b.ReportMetric(float64(events)/s/1e6, "Mevents/s")
+			b.ReportMetric(s*1e9/float64(events), "ns/event")
 		}
 	}
 	for _, cells := range []int{1, 2, 4, 8} {
@@ -439,35 +441,10 @@ func BenchmarkFleet(b *testing.B) {
 		cfg.RelayObjects = 200
 		fleetRun(b, cfg)
 	})
-}
-
-// BenchmarkFleetEngines races the two execution engines on the same fleet:
-// the Proc engine holds one goroutine + resume channel per client, the SM
-// engine one inline state machine dispatched straight off the event heap.
-// Results are byte-identical (TestEngineLockstep); only ns/event and
-// allocations may differ. The 1000-client points are the scaling story —
-// the gap widens with fleet size as goroutine stacks and channel
-// rendezvous start to dominate the Proc engine's cost.
-func BenchmarkFleetEngines(b *testing.B) {
-	for _, engine := range []experiment.Engine{experiment.EngineProcs, experiment.EngineSM} {
-		for _, clients := range []int{100, 1000} {
-			engine, clients := engine, clients
-			b.Run(fmt.Sprintf("engine=%s/clients=%d/cells=4", engine, clients), func(b *testing.B) {
-				cfg := benchBase()
-				cfg.NumClients = clients
-				cfg.Cells = 4
-				cfg.Engine = engine
-				var res experiment.Result
-				var events uint64
-				for i := 0; i < b.N; i++ {
-					res = experiment.RunFleet(cfg)
-					events += res.Events
-				}
-				b.ReportMetric(100*res.HitRatio, "hit%")
-				if events > 0 {
-					b.ReportMetric(b.Elapsed().Seconds()*1e9/float64(events), "ns/event")
-				}
-			})
-		}
-	}
+	b.Run("clients=1000/cells=4", func(b *testing.B) {
+		cfg := benchBase()
+		cfg.NumClients = 1000
+		cfg.Cells = 4
+		fleetRun(b, cfg)
+	})
 }

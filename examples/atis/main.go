@@ -104,7 +104,7 @@ func runATIS(g core.Granularity) (hit, resp, errRate float64, downBytes uint64) 
 			Seed:         rng.Derive(seed, 100+uint64(i)).Uint64(),
 			Horizon:      horizon,
 		})
-		tourist.Start()
+		tourist.StartMachine()
 	}
 
 	k.RunAll()

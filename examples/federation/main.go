@@ -98,7 +98,7 @@ func run(relayObjects int) (hit, resp, relayHitRatio float64, relayed uint64) {
 				Seed:        rng.Derive(seed, 1000+uint64(id)).Uint64(),
 				Horizon:     horizon,
 			})
-			cl.Start()
+			cl.StartMachine()
 		}
 	}
 

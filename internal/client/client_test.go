@@ -63,18 +63,67 @@ func query(idx uint64, oids ...int) *workload.Query {
 	return q
 }
 
-// exec runs fn as a simulation process to completion.
-func (r *rig) exec(fn func(p *sim.Proc)) {
-	r.k.Spawn("test", fn)
+// act is one resumable action of a scripted test machine: it reports
+// false while it waits (having arranged the machine's next wake) and true
+// once complete.
+type act func(m *sim.Machine) bool
+
+// script runs its acts in order on one machine.
+type script struct{ acts []act }
+
+func (s *script) Step(m *sim.Machine) {
+	for len(s.acts) > 0 {
+		if !s.acts[0](m) {
+			return
+		}
+		s.acts = s.acts[1:]
+	}
+	m.Finish()
+}
+
+// exec runs acts on one machine to completion.
+func (r *rig) exec(acts ...act) {
+	r.k.SpawnMachine("test", &script{acts: acts})
 	r.k.RunAll()
+}
+
+// run issues q, arriving now, through the rig client's query pipeline.
+func (r *rig) run(q *workload.Query) act {
+	var qr *queryRun
+	return func(m *sim.Machine) bool {
+		if qr == nil {
+			qr = &queryRun{}
+			qr.init(r.client)
+			qr.begin(q, m.Now())
+		}
+		return qr.step(m)
+	}
+}
+
+// hold waits d seconds.
+func hold(d float64) act {
+	armed := false
+	return func(m *sim.Machine) bool {
+		if armed {
+			return true
+		}
+		armed = true
+		m.Hold(d)
+		return false
+	}
+}
+
+// do calls fn with the current time.
+func do(fn func(now float64)) act {
+	return func(m *sim.Machine) bool {
+		fn(m.Now())
+		return true
+	}
 }
 
 func TestMissThenHit(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2, 3)), r.run(query(1, 1, 2, 3)))
 	if r.m.Accesses() != 6 {
 		t.Fatalf("accesses = %d, want 6", r.m.Accesses())
 	}
@@ -94,9 +143,7 @@ func TestMissThenHit(t *testing.T) {
 func TestStorePopulatedPerGranularity(t *testing.T) {
 	for _, g := range []core.Granularity{core.AttributeCaching, core.ObjectCaching, core.HybridCaching} {
 		r := newRig(t, g, 0)
-		r.exec(func(p *sim.Proc) {
-			r.client.processQuery(p, query(0, 7), p.Now())
-		})
+		r.exec(r.run(query(0, 7)))
 		want := core.CoverItem(g, 7, 0)
 		if !r.client.Store().Contains(want) {
 			t.Errorf("%v: store missing %v", g, want)
@@ -106,10 +153,7 @@ func TestStorePopulatedPerGranularity(t *testing.T) {
 
 func TestNCHasNoStore(t *testing.T) {
 	r := newRig(t, core.NoCache, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-		r.client.processQuery(p, query(1, 1), p.Now())
-	})
+	r.exec(r.run(query(0, 1)), r.run(query(1, 1)))
 	if r.client.Store() != nil {
 		t.Fatal("NC client has a storage cache")
 	}
@@ -121,14 +165,13 @@ func TestNCHasNoStore(t *testing.T) {
 
 func TestNCMemoryBufferEvicts(t *testing.T) {
 	r := newRig(t, core.NoCache, 0)
-	r.exec(func(p *sim.Proc) {
-		// Touch 40 distinct objects: the 30-object buffer must evict.
-		for i := 0; i < 40; i++ {
-			r.client.processQuery(p, query(uint64(i), i+1), p.Now())
-		}
-		// Object 1 was evicted (LRU): this is a miss.
-		r.client.processQuery(p, query(40, 1), p.Now())
-	})
+	// Touch 40 distinct objects: the 30-object buffer must evict.
+	var acts []act
+	for i := 0; i < 40; i++ {
+		acts = append(acts, r.run(query(uint64(i), i+1)))
+	}
+	// Object 1 was evicted (LRU): this is a miss.
+	r.exec(append(acts, r.run(query(40, 1)))...)
 	if r.m.Errors() != 0 {
 		t.Fatal("errors in read-only run")
 	}
@@ -142,18 +185,13 @@ func TestNCMemoryBufferEvicts(t *testing.T) {
 
 func TestResponseTimeDominatedByWireless(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2, 3)))
 	// 3 attr entries + headers at 19.2kbps is ~0.1s; local would be µs.
 	if rt := r.m.MeanResponse(); rt < 0.05 {
 		t.Fatalf("remote response %v suspiciously fast", rt)
 	}
 	r2 := newRig(t, core.AttributeCaching, 0)
-	r2.exec(func(p *sim.Proc) {
-		r2.client.processQuery(p, query(0, 1), p.Now())
-		r2.client.processQuery(p, query(1, 1), p.Now())
-	})
+	r2.exec(r2.run(query(0, 1)), r2.run(query(1, 1)))
 	sum := r2.m.ResponseSummary()
 	if sum.Max() == sum.Min() {
 		t.Fatal("local hit should be much faster than remote miss")
@@ -164,9 +202,7 @@ func TestOCResponseSlowerThanAC(t *testing.T) {
 	times := map[core.Granularity]float64{}
 	for _, g := range []core.Granularity{core.AttributeCaching, core.ObjectCaching} {
 		r := newRig(t, g, 0)
-		r.exec(func(p *sim.Proc) {
-			r.client.processQuery(p, query(0, 1, 2, 3, 4, 5), p.Now())
-		})
+		r.exec(r.run(query(0, 1, 2, 3, 4, 5)))
 		times[g] = r.m.MeanResponse()
 	}
 	if times[core.ObjectCaching] <= times[core.AttributeCaching] {
@@ -180,15 +216,12 @@ func TestOCHitsAcrossAttributes(t *testing.T) {
 	// of the same object hits. Under AC it misses.
 	probe := func(g core.Granularity) float64 {
 		r := newRig(t, g, 0)
-		r.exec(func(p *sim.Proc) {
-			r.client.processQuery(p, query(0, 1), p.Now()) // reads attr 0
-			q2 := workload.Query{
-				Index:   1,
-				Objects: []oodb.OID{1},
-				Reads:   []workload.ReadOp{{OID: 1, Attr: 5}},
-			}
-			r.client.processQuery(p, &q2, p.Now())
-		})
+		q2 := workload.Query{
+			Index:   1,
+			Objects: []oodb.OID{1},
+			Reads:   []workload.ReadOp{{OID: 1, Attr: 5}},
+		}
+		r.exec(r.run(query(0, 1)), r.run(&q2)) // attr 0, then attr 5
 		return r.m.HitRatio()
 	}
 	if hrOC := probe(core.ObjectCaching); hrOC != 0.5 {
@@ -204,9 +237,7 @@ func TestDisconnectedMissUnavailable(t *testing.T) {
 	sched := &network.Schedule{}
 	sched.AddOutage(network.Outage{Start: 0, End: 1000})
 	r.client.sched = sched
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2)))
 	if r.m.Unavailable() != 2 {
 		t.Fatalf("unavailable = %d, want 2", r.m.Unavailable())
 	}
@@ -221,14 +252,13 @@ func TestDisconnectedMissUnavailable(t *testing.T) {
 
 func TestDisconnectedServesStale(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 1 /* every access updates */)
-	r.exec(func(p *sim.Proc) {
-		// Build a write history so leases become finite, and cache attr 0
-		// of object 1.
-		for i := 0; i < 6; i++ {
-			r.client.processQuery(p, query(uint64(i), 1), p.Now())
-			p.Hold(50)
-		}
-	})
+	// Build a write history so leases become finite, and cache attr 0 of
+	// object 1.
+	var acts []act
+	for i := 0; i < 6; i++ {
+		acts = append(acts, r.run(query(uint64(i), 1)), hold(50))
+	}
+	r.exec(acts...)
 	// Now disconnect far in the future so the lease has expired, and read.
 	sched := &network.Schedule{}
 	sched.AddOutage(network.Outage{Start: r.k.Now(), End: r.k.Now() + 1e6})
@@ -236,10 +266,7 @@ func TestDisconnectedServesStale(t *testing.T) {
 	// A foreign write makes the stale copy erroneous.
 	r.db.Write(1, 0)
 	errsBefore := r.m.Errors()
-	r.exec(func(p *sim.Proc) {
-		p.Hold(1e5) // let the lease lapse
-		r.client.processQuery(p, query(99, 1), p.Now())
-	})
+	r.exec(hold(1e5), r.run(query(99, 1))) // let the lease lapse, then read
 	if r.m.Unavailable() != 0 {
 		t.Fatalf("cached stale read counted unavailable")
 	}
@@ -250,19 +277,14 @@ func TestDisconnectedServesStale(t *testing.T) {
 
 func TestErrorsRequireForeignWrite(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-		r.client.processQuery(p, query(1, 1), p.Now())
-	})
+	r.exec(r.run(query(0, 1)), r.run(query(1, 1)))
 	if r.m.Errors() != 0 {
 		t.Fatalf("read-only run produced %d errors", r.m.Errors())
 	}
 	// Foreign write; lease is infinite (no write history at fetch time) so
 	// the next read is a hit AND an error.
 	r.db.Write(1, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(2, 1), p.Now())
-	})
+	r.exec(r.run(query(2, 1)))
 	if r.m.Errors() != 1 {
 		t.Fatalf("errors = %d, want 1", r.m.Errors())
 	}
@@ -271,13 +293,9 @@ func TestErrorsRequireForeignWrite(t *testing.T) {
 func TestExistentListSizesRequest(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
 	var sizes []uint64
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2), p.Now())
-		sizes = append(sizes, r.up.BytesSent())
-		// Second query: 2 hits + 1 new miss -> existent list of 2 entries.
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-		sizes = append(sizes, r.up.BytesSent())
-	})
+	sent := do(func(float64) { sizes = append(sizes, r.up.BytesSent()) })
+	// Second query: 2 hits + 1 new miss -> existent list of 2 entries.
+	r.exec(r.run(query(0, 1, 2)), sent, r.run(query(1, 1, 2, 3)), sent)
 	first := sizes[0]
 	second := sizes[1] - sizes[0]
 	if second != first+2*(network.OIDSize+network.AttrRefSize) {
@@ -288,21 +306,20 @@ func TestExistentListSizesRequest(t *testing.T) {
 func TestLeaseExpiryForcesRefresh(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 1)
 	var hitsAfterExpiry bool
-	r.exec(func(p *sim.Proc) {
-		// Build write history: every query updates, inter-write ~100s.
-		for i := 0; i < 8; i++ {
-			r.client.processQuery(p, query(uint64(i), 1), p.Now())
-			p.Hold(100)
-		}
-		// Far beyond the ~100s lease: the cached copy must be stale, so
-		// the read goes remote (not a hit).
-		p.Hold(10000)
-		accBefore := r.m.Accesses()
-		hitsB := uint64(float64(accBefore)*r.m.HitRatio() + 0.5)
-		r.client.processQuery(p, query(99, 1), p.Now())
-		hitsA := uint64(float64(r.m.Accesses())*r.m.HitRatio() + 0.5)
-		hitsAfterExpiry = hitsA > hitsB
-	})
+	// Build write history: every query updates, inter-write ~100s.
+	var acts []act
+	for i := 0; i < 8; i++ {
+		acts = append(acts, r.run(query(uint64(i), 1)), hold(100))
+	}
+	// Far beyond the ~100s lease: the cached copy must be stale, so the
+	// read goes remote (not a hit).
+	hits := func() uint64 { return uint64(float64(r.m.Accesses())*r.m.HitRatio() + 0.5) }
+	var hitsB uint64
+	acts = append(acts, hold(10000),
+		do(func(float64) { hitsB = hits() }),
+		r.run(query(99, 1)),
+		do(func(float64) { hitsAfterExpiry = hits() > hitsB }))
+	r.exec(acts...)
 	if hitsAfterExpiry {
 		t.Fatal("expired item served as a hit instead of refreshing")
 	}
@@ -311,7 +328,7 @@ func TestLeaseExpiryForcesRefresh(t *testing.T) {
 func TestRunLoopIssuesQueries(t *testing.T) {
 	r := newRig(t, core.HybridCaching, 0.1)
 	r.client.horizon = 20000
-	r.client.Start()
+	r.client.StartMachine()
 	r.k.RunAll()
 	issued, _, _, _ := r.m.Queries()
 	if issued == 0 {
@@ -320,8 +337,8 @@ func TestRunLoopIssuesQueries(t *testing.T) {
 	if r.m.Accesses() == 0 {
 		t.Fatal("no accesses recorded")
 	}
-	if r.k.LiveProcs() != 0 {
-		t.Fatalf("client proc still live: %d", r.k.LiveProcs())
+	if r.k.LiveMachines() != 0 {
+		t.Fatalf("client machine still live: %d", r.k.LiveMachines())
 	}
 }
 
@@ -375,7 +392,7 @@ func TestDeterministicReplay(t *testing.T) {
 	runOnce := func() (float64, float64, uint64) {
 		r := newRig(t, core.HybridCaching, 0.1)
 		r.client.horizon = 50000
-		r.client.Start()
+		r.client.StartMachine()
 		r.k.RunAll()
 		return r.m.HitRatio(), r.m.MeanResponse(), r.m.Accesses()
 	}
@@ -407,9 +424,7 @@ func newIRRig(t *testing.T) *rig {
 
 func TestIREntriesNeverExpire(t *testing.T) {
 	r := newIRRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-	})
+	r.exec(r.run(query(0, 1)))
 	e, ok := r.client.Store().Peek(oodb.AttrItem(1, 0))
 	if !ok {
 		t.Fatal("item not cached")
@@ -421,9 +436,7 @@ func TestIREntriesNeverExpire(t *testing.T) {
 
 func TestIRIncrementalInvalidation(t *testing.T) {
 	r := newIRRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2)))
 	// A foreign write lands on (1, 0); report 1 then report 2 arrive.
 	r.db.Write(1, 0)
 	r.client.ApplyInvalidationReport(100, 1)
@@ -444,9 +457,7 @@ func TestIRIncrementalInvalidation(t *testing.T) {
 
 func TestIRMissedReportDropsCache(t *testing.T) {
 	r := newIRRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2, 3)))
 	r.client.ApplyInvalidationReport(60, 1)
 	if r.client.Store().Len() == 0 {
 		t.Fatal("first report should not drop anything")
@@ -476,9 +487,7 @@ func TestIRReportToLeaseClientPanics(t *testing.T) {
 
 func TestShedThresholdDisabledByDefault(t *testing.T) {
 	r := newRig(t, core.HybridCaching, 0)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2, 3)))
 	if r.client.ShedItems() != 0 {
 		t.Fatalf("ShedItems = %d with heuristic disabled", r.client.ShedItems())
 	}
@@ -494,10 +503,7 @@ func TestFixedLeaseStrategy(t *testing.T) {
 		Coherence: coherence.FixedLeaseStrategy, FixedLease: 50,
 	})
 	var fetchedAt float64
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-		fetchedAt = p.Now()
-	})
+	r.exec(r.run(query(0, 1)), do(func(now float64) { fetchedAt = now }))
 	e, ok := r.client.Store().Peek(oodb.AttrItem(1, 0))
 	if !ok {
 		t.Fatal("item not cached")
@@ -527,10 +533,7 @@ func TestTracerReceivesConsistentRecords(t *testing.T) {
 	r := newRig(t, core.AttributeCaching, 0)
 	collector := &trace.Collector{}
 	r.client.tracer = collector
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2, 3)), r.run(query(1, 1, 2, 3)))
 	if collector.Len() != 2 {
 		t.Fatalf("records = %d, want 2", collector.Len())
 	}
@@ -577,10 +580,7 @@ func newBroadcastRig(t *testing.T) (*rig, *broadcast.Program) {
 
 func TestBroadcastServesCoveredReads(t *testing.T) {
 	r, prog := newBroadcastRig(t)
-	r.exec(func(p *sim.Proc) {
-		// Object 1 attr 0 is on the air; object 50 is not.
-		r.client.processQuery(p, query(0, 1, 50), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 50))) // object 1 attr 0 is on the air; object 50 is not
 	if r.client.BroadcastReads() != 1 {
 		t.Fatalf("BroadcastReads = %d, want 1", r.client.BroadcastReads())
 	}
@@ -599,9 +599,7 @@ func TestBroadcastServesCoveredReads(t *testing.T) {
 
 func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 	r, _ := newBroadcastRig(t)
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1, 2, 3), p.Now())
-	})
+	r.exec(r.run(query(0, 1, 2, 3)))
 	if r.up.Messages() != 0 || r.down.Messages() != 0 {
 		t.Fatalf("broadcast-covered query used point-to-point channels (%d/%d)",
 			r.up.Messages(), r.down.Messages())
@@ -610,9 +608,7 @@ func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 		t.Fatalf("BroadcastReads = %d", r.client.BroadcastReads())
 	}
 	// Subsequent identical reads hit the cache within the lease.
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(1, 1, 2, 3), p.Now())
-	})
+	r.exec(r.run(query(1, 1, 2, 3)))
 	if r.client.BroadcastReads() != 3 {
 		t.Fatal("cached broadcast items re-fetched from the air")
 	}
@@ -620,13 +616,14 @@ func TestBroadcastOnlyQuerySendsNothing(t *testing.T) {
 
 func TestBroadcastWaitBoundedByCycle(t *testing.T) {
 	r, prog := newBroadcastRig(t)
-	r.exec(func(p *sim.Proc) {
-		start := p.Now()
-		r.client.processQuery(p, query(0, 1, 2, 3, 4, 5), p.Now())
-		if wait := p.Now() - start; wait > prog.Cycle()+5*prog.MeanWait() {
-			t.Errorf("broadcast wait %v too long for cycle %v", wait, prog.Cycle())
-		}
-	})
+	var start float64
+	r.exec(do(func(now float64) { start = now }),
+		r.run(query(0, 1, 2, 3, 4, 5)),
+		do(func(now float64) {
+			if wait := now - start; wait > prog.Cycle()+5*prog.MeanWait() {
+				t.Errorf("broadcast wait %v too long for cycle %v", wait, prog.Cycle())
+			}
+		}))
 }
 
 func TestBroadcastIgnoredWhileDisconnected(t *testing.T) {
@@ -634,9 +631,7 @@ func TestBroadcastIgnoredWhileDisconnected(t *testing.T) {
 	sched := &network.Schedule{}
 	sched.AddOutage(network.Outage{Start: 0, End: 1e6})
 	r.client.sched = sched
-	r.exec(func(p *sim.Proc) {
-		r.client.processQuery(p, query(0, 1), p.Now())
-	})
+	r.exec(r.run(query(0, 1)))
 	if r.client.BroadcastReads() != 0 {
 		t.Fatal("disconnected client read from the air")
 	}

@@ -8,17 +8,16 @@ import (
 	"repro/internal/workload"
 )
 
-// This file is the state-machine face of the contact server: contactCall
-// is Process/processRemote re-expressed as a resumable invocation for
-// clients running on the sim.Machine engine. Every wait point — the home
-// and remote servers' staging (via server.Call), the backbone latency
-// holds, and the two backbone link transfers — performs the same schedule
-// calls in the same order as the Proc path, so a fleet simulation is
-// byte-identical whichever face serves the cell.
+// This file is the contact server's request path: contactCall serves one
+// client request as a resumable invocation. The request is split by owning
+// node; the home partition is evaluated exactly as the single-server
+// system, and each remote partition, in node order, is answered from the
+// relay cache where it can be and otherwise forwarded over the backbone
+// (latency hold, forward-link transfer, the owner's staging, latency hold,
+// return-link transfer), with the owner's reply filling the relay cache.
 
 // contactCall phases. The remote-partition loop (fcNext → fcLink →
-// fcRemote → fcBack → fcNext) visits owners in node order, exactly like
-// processRemote's caller.
+// fcRemote → fcBack → fcNext) visits owners in node order.
 const (
 	fcStart  uint8 = iota // split the request; arm the home sub-call
 	fcSingle              // single-node cluster: stepping the home call
@@ -29,16 +28,16 @@ const (
 	fcBack                // return-link transfer; fill relay; collect
 )
 
-// remotePart is one node's share of a split request (Process's local
-// `part`), kept as a field so its backing arrays persist across queries.
+// remotePart is one node's share of a split request, kept as a field so
+// its backing arrays persist across queries.
 type remotePart struct {
 	accesses []workload.ReadOp
 	need     []workload.ReadOp
 }
 
-// contactCall is the resumable form of (*ContactServer).Process. One call
-// is owned by one client and reused across its queries; the part/forward/
-// item buffers are recycled, which is safe because a client consumes each
+// contactCall is one client's resumable request against its contact
+// server. It is reused across the client's queries; the part/forward/item
+// buffers are recycled, which is safe because a client consumes each
 // reply before issuing its next request.
 type contactCall struct {
 	cs  *ContactServer
@@ -146,8 +145,10 @@ func (cc *contactCall) Step(m *sim.Machine) (server.Reply, bool) {
 				cc.pc = fcStart
 				return cc.out, true
 			}
-			// Relay cache scan for node cc.o — synchronous, before the
-			// backbone latency, mirroring processRemote's prologue.
+			// Relay cache scan for node cc.o, before the backbone latency.
+			// Prefetch decisions stay with the owner, so the relay only
+			// answers exact reads; the owner still sees every access for
+			// its update model and heat tracking.
 			home := cs.home
 			need := cc.parts[cc.o].need
 			now := m.Now()

@@ -11,6 +11,30 @@ import (
 	"repro/internal/workload"
 )
 
+// repeater is a minimal client: it sends req through its call left times,
+// one after another.
+type repeater struct {
+	call server.RequestCall
+	req  server.Request
+	left int
+	busy bool
+}
+
+func (r *repeater) Step(m *sim.Machine) {
+	for r.left > 0 {
+		if !r.busy {
+			r.call.Begin(r.req)
+			r.busy = true
+		}
+		if _, done := r.call.Step(m); !done {
+			return
+		}
+		r.busy = false
+		r.left--
+	}
+	m.Finish()
+}
+
 // A two-cell federation over a range-partitioned database: the contact
 // server in cell 0 owns OIDs 0..49, so a read of OID 90 is relayed over
 // the backbone to node 1 and the reply is kept (with its lease) in the
@@ -33,10 +57,9 @@ func Example() {
 		Accesses:    []workload.ReadOp{{OID: 90, Attr: 0}},
 		Need:        []workload.ReadOp{{OID: 90, Attr: 0}},
 	}
-	k.Spawn("client", func(p *sim.Proc) {
-		contact.Process(p, req) // cold: forwarded to the owner
-		contact.Process(p, req) // warm: answered by the relay cache
-	})
+	// The first request is cold: forwarded to the owner. The second is
+	// warm: answered by the relay cache.
+	k.SpawnMachine("client", &repeater{call: contact.NewCall(), req: req, left: 2})
 	k.RunAll()
 
 	hits, misses, relayed := cluster.RelayStats(0)

@@ -24,8 +24,35 @@ func newCluster(t *testing.T, servers, relayObjects int) (*sim.Kernel, *oodb.Dat
 	return k, db, c
 }
 
-func exec(k *sim.Kernel, fn func(p *sim.Proc)) {
-	k.Spawn("test", fn)
+// driver is a test machine that runs one request through a resumable call.
+type driver struct {
+	call  server.RequestCall
+	reply server.Reply
+}
+
+func (d *driver) Step(m *sim.Machine) {
+	rep, done := d.call.Step(m)
+	if !done {
+		return
+	}
+	// Calls reuse their reply buffers; keep a private copy.
+	d.reply = server.Reply{Items: append([]server.ReplyItem(nil), rep.Items...)}
+	m.Finish()
+}
+
+// process runs req through a fresh call on b to completion, starting now,
+// and returns the reply; the clock advances by the service time.
+func process(k *sim.Kernel, b interface{ NewCall() server.RequestCall }, req server.Request) server.Reply {
+	d := &driver{call: b.NewCall()}
+	d.call.Begin(req)
+	k.SpawnMachine("test", d)
+	k.RunAll()
+	return d.reply
+}
+
+// advanceTo moves the clock forward to t.
+func advanceTo(k *sim.Kernel, t float64) {
+	k.At(t, func() {})
 	k.RunAll()
 }
 
@@ -65,12 +92,10 @@ func TestSingleNodeDelegates(t *testing.T) {
 	k, _, c := newCluster(t, 1, 0)
 	cs := c.Contact(0)
 	var rep server.Reply
-	exec(k, func(p *sim.Proc) {
-		rep = cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(1, 2),
-			Need:        readsOn(1, 2),
-		})
+	rep = process(k, cs, server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(1, 2),
+		Need:        readsOn(1, 2),
 	})
 	if len(rep.Items) != 2 {
 		t.Fatalf("reply items = %d", len(rep.Items))
@@ -81,13 +106,11 @@ func TestRemoteReadsAreRelayed(t *testing.T) {
 	k, _, c := newCluster(t, 4, 0)
 	cs := c.Contact(0)
 	var rep server.Reply
-	exec(k, func(p *sim.Proc) {
-		// OIDs 1 (home) and 80 (node 3).
-		rep = cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(1, 80),
-			Need:        readsOn(1, 80),
-		})
+	// OIDs 1 (home) and 80 (node 3).
+	rep = process(k, cs, server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(1, 80),
+		Need:        readsOn(1, 80),
 	})
 	if len(rep.Items) != 2 {
 		t.Fatalf("reply items = %d, want 2", len(rep.Items))
@@ -109,15 +132,13 @@ func TestRemoteCostsBackboneTime(t *testing.T) {
 		k, _, c := newCluster(t, 4, 0)
 		cs := c.Contact(0)
 		var elapsed float64
-		exec(k, func(p *sim.Proc) {
-			start := p.Now()
-			cs.Process(p, server.Request{
-				Granularity: core.AttributeCaching,
-				Accesses:    readsOn(oid),
-				Need:        readsOn(oid),
-			})
-			elapsed = p.Now() - start
+		start := k.Now()
+		process(k, cs, server.Request{
+			Granularity: core.AttributeCaching,
+			Accesses:    readsOn(oid),
+			Need:        readsOn(oid),
 		})
+		elapsed = k.Now() - start
 		return elapsed
 	}
 	local := run(1)
@@ -139,17 +160,15 @@ func TestRelayCacheServesRepeats(t *testing.T) {
 		Need:        readsOn(90),
 	}
 	var first, second float64
-	exec(k, func(p *sim.Proc) {
-		start := p.Now()
-		cs.Process(p, req)
-		first = p.Now() - start
-		start = p.Now()
-		rep := cs.Process(p, req)
-		second = p.Now() - start
-		if len(rep.Items) != 1 {
-			t.Errorf("second reply items = %d", len(rep.Items))
-		}
-	})
+	start := k.Now()
+	process(k, cs, req)
+	first = k.Now() - start
+	start = k.Now()
+	rep := process(k, cs, req)
+	second = k.Now() - start
+	if len(rep.Items) != 1 {
+		t.Errorf("second reply items = %d", len(rep.Items))
+	}
 	hits, misses, _ := c.RelayStats(0)
 	if hits != 1 || misses != 1 {
 		t.Fatalf("relay hits/misses = %d/%d, want 1/1", hits, misses)
@@ -168,28 +187,26 @@ func TestRelayCacheRespectsLeases(t *testing.T) {
 	k, db, c := newCluster(t, 2, 10)
 	// Give object 90's attribute 0 a write history so leases are short.
 	cs := c.Contact(0)
-	exec(k, func(p *sim.Proc) {
-		for i := 0; i < 4; i++ {
-			db.Write(90, 0)
-			c.Node(1).Process(p, server.Request{
-				Granularity: core.AttributeCaching,
-				Accesses:    readsOn(90),
-			})
-			p.Hold(10)
-		}
-		// Prime the relay cache.
-		cs.Process(p, server.Request{
+	for i := 0; i < 4; i++ {
+		db.Write(90, 0)
+		process(k, c.Node(1), server.Request{
 			Granularity: core.AttributeCaching,
 			Accesses:    readsOn(90),
-			Need:        readsOn(90),
 		})
-		// Far past the ~10s lease, the relay must refetch, not serve stale.
-		p.Hold(1000)
-		cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(90),
-			Need:        readsOn(90),
-		})
+		advanceTo(k, k.Now()+10)
+	}
+	// Prime the relay cache.
+	process(k, cs, server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(90),
+		Need:        readsOn(90),
+	})
+	// Far past the ~10s lease, the relay must refetch, not serve stale.
+	advanceTo(k, k.Now()+1000)
+	process(k, cs, server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(90),
+		Need:        readsOn(90),
 	})
 	hits, _, _ := c.RelayStats(0)
 	if hits != 0 {
@@ -225,12 +242,10 @@ func TestUpdatesApplyAtOwner(t *testing.T) {
 	db = oodb.New(oodb.Config{NumObjects: 100, RelSeed: 1})
 	c = New(Config{Kernel: k, DB: db, NumServers: 2, Seed: 3, UpdateProb: 1})
 	cs := c.Contact(0)
-	exec(k, func(p *sim.Proc) {
-		cs.Process(p, server.Request{
-			Granularity: core.AttributeCaching,
-			Accesses:    readsOn(1, 90),
-			Need:        readsOn(1, 90),
-		})
+	process(k, cs, server.Request{
+		Granularity: core.AttributeCaching,
+		Accesses:    readsOn(1, 90),
+		Need:        readsOn(1, 90),
 	})
 	if db.AttrVersion(1, 0) != 1 || db.AttrVersion(90, 0) != 1 {
 		t.Fatalf("updates not applied at both partitions: v1=%d v90=%d",

@@ -84,11 +84,44 @@ func (c *Cluster) NewRoamer(m *MobilitySchedule) *Roamer {
 // Oracle exposes the global perfect-knowledge oracle.
 func (r *Roamer) Oracle() *coherence.Oracle { return r.cluster.oracle }
 
-// Process routes the request via the current cell's contact server.
-func (r *Roamer) Process(p *sim.Proc, req server.Request) server.Reply {
-	cell := r.mobility.CellAt(p.Now())
-	r.served[cell]++
-	return r.cluster.Contact(cell).Process(p, req)
+// NewCall returns a resumable call that routes each request through the
+// contact server of the cell the client occupies when the request reaches
+// the server side (its first Step); see server.RequestCall.
+func (r *Roamer) NewCall() server.RequestCall {
+	return &roamerCall{r: r, calls: make([]server.RequestCall, len(r.cluster.nodes))}
+}
+
+// roamerCall delegates each request to one cell's contact call, picked by
+// CellAt at the first step.
+type roamerCall struct {
+	r     *Roamer
+	calls []server.RequestCall // per cell, created on first use
+	req   server.Request
+	cur   server.RequestCall // nil until the first Step picks the cell
+}
+
+// Begin arms the call for one request; see server.RequestCall.
+func (rc *roamerCall) Begin(req server.Request) {
+	rc.req = req
+	rc.cur = nil
+}
+
+// Step advances the request; see server.RequestCall.Step.
+func (rc *roamerCall) Step(m *sim.Machine) (server.Reply, bool) {
+	if rc.cur == nil {
+		cell := rc.r.mobility.CellAt(m.Now())
+		rc.r.served[cell]++
+		if rc.calls[cell] == nil {
+			rc.calls[cell] = rc.r.cluster.Contact(cell).NewCall()
+		}
+		rc.cur = rc.calls[cell]
+		rc.cur.Begin(rc.req)
+	}
+	rep, done := rc.cur.Step(m)
+	if done {
+		rc.cur = nil
+	}
+	return rep, done
 }
 
 // ServedByCell reports how many requests each cell's contact server

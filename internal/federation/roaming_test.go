@@ -6,7 +6,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/server"
-	"repro/internal/sim"
 )
 
 func TestMobilityCellAt(t *testing.T) {
@@ -60,11 +59,9 @@ func TestRoamerRoutesByTime(t *testing.T) {
 		Accesses:    readsOn(1), // owned by node 0
 		Need:        readsOn(1),
 	}
-	exec(k, func(p *sim.Proc) {
-		roamer.Process(p, req) // t≈0: cell 0, local read
-		p.HoldUntil(2000)
-		roamer.Process(p, req) // t=2000: cell 1, relayed read
-	})
+	process(k, roamer, req) // t≈0: cell 0, local read
+	advanceTo(k, 2000)
+	process(k, roamer, req) // t=2000: cell 1, relayed read
 	served := roamer.ServedByCell()
 	if served[0] != 1 || served[1] != 1 {
 		t.Fatalf("ServedByCell = %v", served)
@@ -87,15 +84,13 @@ func TestRoamerHandoffChangesCost(t *testing.T) {
 		Need:        readsOn(2),
 	}
 	var before, after float64
-	exec(k, func(p *sim.Proc) {
-		start := p.Now()
-		roamer.Process(p, req)
-		before = p.Now() - start
-		p.HoldUntil(5000)
-		start = p.Now()
-		roamer.Process(p, req)
-		after = p.Now() - start
-	})
+	start := k.Now()
+	process(k, roamer, req)
+	before = k.Now() - start
+	advanceTo(k, 5000)
+	start = k.Now()
+	process(k, roamer, req)
+	after = k.Now() - start
 	if after <= before {
 		t.Fatalf("post-handoff read (%v) not slower than home read (%v)", after, before)
 	}

@@ -89,29 +89,6 @@ func (c *Channel) TransferTime(bytes int) float64 {
 	return float64(bytes) * 8 / c.bandwidth
 }
 
-// Send occupies the channel for the transfer duration of a message of the
-// given size, queueing FCFS behind other senders.
-func (c *Channel) Send(p *sim.Proc, bytes int) {
-	c.res.Use(p, c.TransferTime(bytes))
-	c.bytesSent += uint64(bytes)
-	c.messages++
-}
-
-// SendDeferred queues for the channel and, once at the head of the queue,
-// calls sizeFn with the time spent waiting to learn the message size —
-// then transfers it. It implements the paper's timeout heuristic (§5.3):
-// a reply that has queued too long can be shrunk (prefetched items shed)
-// at the moment delivery begins.
-func (c *Channel) SendDeferred(p *sim.Proc, sizeFn func(waited float64) int) {
-	start := p.Now()
-	c.res.Acquire(p)
-	bytes := sizeFn(p.Now() - start)
-	p.Hold(c.TransferTime(bytes))
-	c.res.Release()
-	c.bytesSent += uint64(bytes)
-	c.messages++
-}
-
 // Register wires the channel into an observability registry under the
 // given series prefix: cumulative busy fraction (the report differences
 // consecutive samples into windowed busy/idle utilization), instantaneous

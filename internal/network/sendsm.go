@@ -2,12 +2,10 @@ package network
 
 import "repro/internal/sim"
 
-// This file is the state-machine face of Channel: SendStep and
-// SendDeferredStep are Send and SendDeferred re-expressed as resumable
-// calls for clients running on the sim.Machine engine. Each performs the
-// exact schedule calls of its Proc twin in the same order (acquire, hold
-// for the transfer time, release, then the byte/message accounting), so a
-// simulation is byte-identical whichever face drives the channel.
+// This file is how a sim.Machine sends on a Channel. SendStep and
+// SendDeferredStep are resumable calls: each acquires the channel FCFS
+// behind other senders, holds it for the transfer time, releases it, and
+// then accounts the bytes and the message.
 
 // SendState holds the progress of one resumable channel send. The zero
 // value is ready to use; a completed send resets it so the same state can
@@ -53,9 +51,11 @@ func (c *Channel) SendStep(m *sim.Machine, st *SendState, bytes int) bool {
 }
 
 // SendDeferredStep advances a deferred-size send on machine m: sizeFn is
-// called with the queueing delay once the channel is acquired — the
-// timeout-heuristic hook of SendDeferred — and the transfer is then paid
-// at that size. Returns true when delivered; false while waiting.
+// called with the queueing delay once the channel is acquired, and the
+// transfer is then paid at that size. It implements the paper's timeout
+// heuristic (§5.3): a reply that has queued too long can be shrunk
+// (prefetched items shed) at the moment delivery begins. Returns true when
+// delivered; false while waiting.
 func (c *Channel) SendDeferredStep(m *sim.Machine, st *SendState, sizeFn func(waited float64) int) bool {
 	for {
 		switch st.pc {

@@ -3,7 +3,7 @@ package replacement
 // Optimized conventional policies (LRU, LRU-k, LRD, FIFO, CLOCK, Random,
 // MRU) on the indexed victim-selection engine in indexed.go. Scoring
 // formulas live in states.go, shared with the scanCore reference
-// implementations in reference.go; the differential tests require both to
+// implementations in reference_test.go; the differential tests require both to
 // emit bit-identical victim sequences.
 
 import (

@@ -10,7 +10,7 @@ import (
 
 // These tests are the correctness gate for the indexed victim-selection
 // engine: every optimized policy is driven in lockstep with its retained
-// scanCore reference twin (reference.go) through randomized traces —
+// scanCore reference twin (reference_test.go) through randomized traces —
 // insert/access churn, invalidation Removes, eviction (Victim + Remove),
 // bulk Victims, re-insertion after eviction, and exact timestamp ties from
 // zero-gap clusters — and must produce bit-identical victim sequences.

@@ -13,7 +13,7 @@ package replacement
 // class and moves every item's score in lockstep — and the bound-pruned
 // search folds `now` back in at eviction time, visiting only the heap
 // prefix whose bound can still beat the current best. Scoring formulas
-// live in states.go, shared with the scanCore references in reference.go.
+// live in states.go, shared with the scanCore references in reference_test.go.
 
 import (
 	"fmt"

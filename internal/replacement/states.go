@@ -2,7 +2,7 @@ package replacement
 
 // This file holds the per-item state records and badness formulas shared by
 // the optimized policies (conventional.go, duration.go) and the retained
-// scanCore reference implementations (reference.go). Every scoring formula
+// scanCore reference implementations (reference_test.go). Every scoring formula
 // exists exactly once: both implementations evaluate the same
 // floating-point expressions in the same order, which is what lets the
 // differential tests demand bit-identical victim sequences.

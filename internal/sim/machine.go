@@ -21,9 +21,9 @@ package sim
 //
 // Determinism contract: a Machine performing the same schedule calls in
 // the same order as an equivalent Proc produces byte-identical
-// simulations — both engines push events through the same future event
-// list with the same tie-break sequence numbers. DESIGN.md § Execution
-// engines spells out the wait-point correspondence.
+// simulations — both push events through the same future event list with
+// the same tie-break sequence numbers. DESIGN.md § Execution engine
+// describes how the simulator's actors are written as machines.
 type Machine struct {
 	kernel *Kernel
 	name   string

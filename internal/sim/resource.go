@@ -78,7 +78,7 @@ func (r *Resource) Acquire(p *Proc) {
 //
 // The statistics mutations mirror Acquire's exactly; wait time is accrued
 // at grant time, which happens at the same virtual instant the resumed
-// proc accrues it, so both engines integrate identical sequences.
+// proc accrues it, so procs and machines integrate identical sequences.
 func (r *Resource) AcquireCall(m *Machine) bool {
 	r.accrue()
 	r.acquires++

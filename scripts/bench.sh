@@ -10,10 +10,11 @@
 #   model   the replacement-policy hot path: ns/access, ns/victim and the
 #           full eviction cycle for every indexed policy against its
 #           retained scanCore reference twin       -> BENCH_model.json
-#   fleet   the multi-cell fleet engine: wall-clock and Mevents/s of a
-#           100-client run at 1/2/4/8 cells plus the relay-cache point
-#           (cells scale across the worker pool), and the Proc-vs-SM
-#           engine race at 100 and 1000 clients    -> BENCH_fleet.json
+#   fleet   the multi-cell fleet engine: wall-clock, Mevents/s and
+#           ns/event of a 100-client run at 1/2/4/8 cells plus the
+#           relay-cache point (cells scale across the worker pool), and
+#           a 1000-client, 4-cell point for the cost at scale
+#                                                  -> BENCH_fleet.json
 #   storage the log-structured persistence engine: point reads against a
 #           100K-record store, group-committed durable inserts, and
 #           cold-start log replay (the ROADMAP's file-backed regime:
